@@ -8,6 +8,7 @@
 package fluxpower_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -351,7 +352,7 @@ func BenchmarkMonitorQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jp, err := client.Query(id)
+		jp, err := client.QueryContext(context.Background(), id)
 		if err != nil {
 			b.Fatal(err)
 		}

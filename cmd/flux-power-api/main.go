@@ -53,6 +53,25 @@ import (
 	"fluxpower/internal/query"
 )
 
+// HTTP read bounds. A client must finish its request headers within
+// readHeaderTimeout, or the connection is closed, so a slow or stalled
+// client cannot hold a connection forever. Headers larger than
+// maxHeaderBytes get 431. There is no whole-request read or write
+// timeout: SSE streams stay open for as long as the client listens.
+const (
+	readHeaderTimeout = 5 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer returns the gateway's HTTP server with the read bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // demoApps is the workload mix the driver cycles through.
 var demoApps = []string{"gemm", "lammps", "quicksilver", "laghos", "nqueens"}
 
@@ -240,7 +259,7 @@ func run(ctx context.Context, args []string, started chan<- string, logw io.Writ
 		}
 	}()
 
-	srv := &http.Server{Handler: d}
+	srv := newHTTPServer(d)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -130,4 +133,62 @@ func TestServeReplicatedWithTenants(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("server did not drain on cancellation")
 	}
+}
+
+// TestHeaderBounds drives the gateway's HTTP server over raw TCP: a
+// client that never finishes its headers is disconnected once
+// readHeaderTimeout passes, and a header block over maxHeaderBytes gets
+// 431 instead of being buffered.
+func TestHeaderBounds(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() }) // after the parallel subtests
+	dial := func(t *testing.T) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+
+	t.Run("unfinished-header-cut-off", func(t *testing.T) {
+		t.Parallel()
+		conn := dial(t)
+		start := time.Now()
+		if _, err := io.WriteString(conn, "GET /v1/jobs HTTP/1.1\r\nHost: x\r\nX-Slow: "); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		if n != 0 || !errors.Is(err, io.EOF) {
+			t.Fatalf("read after stalled header: n=%d err=%v, want the server to close", n, err)
+		}
+		if waited := time.Since(start); waited < readHeaderTimeout/2 {
+			t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+		}
+	})
+
+	t.Run("oversized-header-431", func(t *testing.T) {
+		t.Parallel()
+		conn := dial(t)
+		req := "GET /v1/jobs HTTP/1.1\r\nHost: x\r\nX-Big: " + strings.Repeat("a", 2*maxHeaderBytes) + "\r\n\r\n"
+		// The server may close before reading everything; the write error
+		// does not matter, the response does.
+		go io.WriteString(conn, req)
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+			t.Fatalf("oversized header: status %d, want 431", resp.StatusCode)
+		}
+	})
 }

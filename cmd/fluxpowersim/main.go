@@ -172,13 +172,6 @@ var registry = map[string]runner{
 		}
 		return r.Render(), nil
 	},
-	"evsim": func(o experiments.Options) (string, error) {
-		r, err := experiments.Evsim(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
 	"query": func(o experiments.Options) (string, error) {
 		r, err := experiments.Query(o)
 		if err != nil {
@@ -267,13 +260,6 @@ var csvRegistry = map[string]runner{
 		}
 		return r.RenderCSV(), nil
 	},
-	"evsim": func(o experiments.Options) (string, error) {
-		r, err := experiments.Evsim(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderCSV(), nil
-	},
 	"query": func(o experiments.Options) (string, error) {
 		r, err := experiments.Query(o)
 		if err != nil {
@@ -291,16 +277,9 @@ var csvRegistry = map[string]runner{
 }
 
 // jsonRegistry covers the experiments with a JSON rendering (-format
-// json) — the benchmark artifacts CI publishes (BENCH_evsim.json,
-// BENCH_query.json).
+// json) — the benchmark artifacts CI publishes (BENCH_query.json,
+// BENCH_fanout.json).
 var jsonRegistry = map[string]runner{
-	"evsim": func(o experiments.Options) (string, error) {
-		r, err := experiments.Evsim(o)
-		if err != nil {
-			return "", err
-		}
-		return r.RenderJSON()
-	},
 	"query": func(o experiments.Options) (string, error) {
 		r, err := experiments.Query(o)
 		if err != nil {
@@ -334,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "", "experiment to run: "+strings.Join(names(), ", ")+", or 'all'")
 	quick := fs.Bool("quick", false, "shrink sweeps/repetitions for a fast run")
-	format := fs.String("format", "text", "output format: text, csv (table2, table3, table4, scale, sweep, ...), or json (evsim)")
+	format := fs.String("format", "text", "output format: text, csv (table2, table3, table4, scale, sweep, ...), or json (query, fanout)")
 	seed := fs.Int64("seed", experiments.DefaultSeed, "simulation seed")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
@@ -385,7 +364,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *format == "json" {
 			// Raw machine-readable output: no banner, pipeable straight to
-			// an artifact file (BENCH_evsim.json).
+			// an artifact file (BENCH_query.json).
 			fmt.Fprint(stdout, out)
 			continue
 		}

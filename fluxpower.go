@@ -29,6 +29,7 @@
 package fluxpower
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -343,7 +344,7 @@ func (fc *Cluster) JobPower(id JobID) (powermon.JobPower, error) {
 	if fc.mon == nil {
 		return powermon.JobPower{}, errors.New("fluxpower: monitor not loaded")
 	}
-	return fc.mon.Query(id)
+	return fc.mon.QueryContext(context.Background(), id)
 }
 
 // JobPowerSummary reduces a job's telemetry to the per-job figures the

@@ -2,6 +2,7 @@ package fluxpower
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -306,7 +307,7 @@ func TestAllocationUserLevelMonitor(t *testing.T) {
 	}
 	// The user queries their own monitor through their own instance.
 	mon := powermon.NewClient(alloc.si.Inst.Root())
-	jp, err := mon.Query(id)
+	jp, err := mon.QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

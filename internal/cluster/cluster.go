@@ -94,28 +94,7 @@ type Config struct {
 	// gates enforcement — a production system sets both to the same
 	// bound.
 	SchedBudgetW float64
-	// Engine selects the simulation core: EngineTick (the classic
-	// fixed-Δt loop that advances every running job on a global 100 ms
-	// ticker) or EngineEvent (discrete-event: each running job schedules
-	// its own next progress event, so idle periods and idle nodes cost
-	// nothing). "" = EngineTick. Both engines integrate job progress and
-	// energy with identical per-Δt math on the same tick grid; the
-	// tick-equivalence suite holds them to matching results.
-	Engine string
-	// EngineShards sets the number of per-rank event-queue shards in
-	// EngineEvent mode (0 = auto: min(Nodes, 64)). Shard 0 is reserved
-	// for the engine's own job-progress events so that, at shared
-	// instants, demand updates precede module sampling — the same
-	// ordering the tick engine guarantees by registering its ticker
-	// first.
-	EngineShards int
 }
-
-// Engine values for Config.Engine.
-const (
-	EngineTick  = "tick"
-	EngineEvent = "event"
-)
 
 func (c Config) withDefaults() Config {
 	if c.Fanout == 0 {
@@ -123,18 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tick == 0 {
 		c.Tick = 100 * time.Millisecond
-	}
-	if c.Engine == "" {
-		c.Engine = EngineTick
-	}
-	if c.Engine == EngineEvent && c.EngineShards <= 0 {
-		c.EngineShards = c.Nodes
-		if c.EngineShards > 64 {
-			c.EngineShards = 64
-		}
-		if c.EngineShards < 1 {
-			c.EngineShards = 1
-		}
 	}
 	if c.MonitorOverheadFrac < 0 {
 		switch c.System {
@@ -181,9 +148,6 @@ type runningJob struct {
 	rec      job.Record
 	instance *apps.Instance
 	stats    *JobStats
-	// ev is the job's next progress event (EngineEvent mode only): a
-	// pooled one-shot on the engine shard, re-armed after each advance.
-	ev simtime.EventRef
 }
 
 // Cluster is a live simulated system.
@@ -199,12 +163,12 @@ type Cluster struct {
 	running map[uint64]*runningJob
 	stats   map[uint64]*JobStats
 	subs    map[uint64]*SubInstance // nested user-level instances by parent job
-	ticker  *simtime.Timer          // EngineTick only
+	ticker  *simtime.Timer
 
 	// advMu serializes simulation advancement against Close, so Close can
 	// drain an in-flight timer callback instead of racing it. closed stops
-	// the engines (tick callback and job events become no-ops) the moment
-	// Close is called, even before advMu is acquired.
+	// the engine (the tick callback becomes a no-op) the moment Close is
+	// called, even before advMu is acquired.
 	advMu  sync.Mutex
 	closed atomic.Bool
 }
@@ -232,17 +196,7 @@ func New(cfg Config) (*Cluster, error) {
 	nodeCfg.SensorNoiseW = cfg.SensorNoiseW
 	nodeCfg.GPUCapFailureProb = cfg.GPUCapFailureProb
 
-	// EngineEvent runs on a sharded event queue: shard 0 is the engine's
-	// (job progress), shards 1..EngineShards hold broker/module timers in
-	// contiguous rank blocks, so cross-rank firing order at a shared
-	// instant stays rank order — matching the tick engine's load-order
-	// tie-break.
-	var sched *simtime.Scheduler
-	if cfg.Engine == EngineEvent {
-		sched = simtime.NewShardedScheduler(1 + cfg.EngineShards)
-	} else {
-		sched = simtime.NewScheduler()
-	}
+	sched := simtime.NewScheduler()
 	c := &Cluster{
 		cfg:     cfg,
 		arch:    arch,
@@ -262,17 +216,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, n)
 	}
 
-	var timersFor func(rank int32) simtime.TimerProvider
-	if cfg.Engine == EngineEvent {
-		timersFor = func(rank int32) simtime.TimerProvider {
-			return sched.Shard(1 + int(rank)*cfg.EngineShards/cfg.Nodes)
-		}
-	}
 	inst, err := broker.NewInstance(broker.InstanceOptions{
 		Size:        cfg.Nodes,
 		Fanout:      cfg.Fanout,
 		Scheduler:   sched,
-		TimersFor:   timersFor,
 		Local:       func(rank int32) any { return c.nodes[rank] },
 		WrapLink:    cfg.WrapLink,
 		CallTimeout: cfg.CallTimeout,
@@ -283,13 +230,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.Inst = inst
 
-	if cfg.Engine == EngineTick {
-		// The tick engine registers first so that, at shared deadlines,
-		// demand is updated before any module timer samples power. (The
-		// event engine gets the same guarantee from shard 0 being the
-		// lowest shard.)
-		c.ticker = sched.TickEvery(cfg.Tick, c.onTick)
-	}
+	// The tick registers first so that, at shared deadlines, demand is
+	// updated before any module timer samples power.
+	c.ticker = sched.TickEvery(cfg.Tick, c.onTick)
 
 	if err := inst.Root().LoadModule(kvs.New()); err != nil {
 		return nil, err
@@ -367,9 +310,6 @@ func (c *Cluster) onJobStart(ev *msg.Message) {
 	c.stats[rec.ID] = st
 	rj := &runningJob{rec: rec, instance: instance, stats: st}
 	c.running[rec.ID] = rj
-	if c.cfg.Engine == EngineEvent {
-		c.scheduleJobEvent(rj)
-	}
 }
 
 // jobOverhead combines monitor sampling overhead (if the job's nodes run
@@ -434,7 +374,6 @@ func (c *Cluster) onJobFinish(ev *msg.Message) {
 		return
 	}
 	delete(c.running, rec.ID)
-	rj.ev.Stop()
 	for _, rank := range rj.rec.Ranks {
 		c.nodes[rank].SetIdle()
 	}
@@ -465,9 +404,7 @@ func measuredNodePower(n *hw.Node, act hw.Actual) float64 {
 // advanceJob moves one running job forward by dt seconds: install the
 // application's current demand on its nodes, read back actual power
 // after cap enforcement, integrate energy, and advance progress at the
-// slowest node's rate. Both engines call exactly this, so a tick-engine
-// run and an event-engine run integrate identical per-Δt math. It
-// reports whether the job completed its work.
+// slowest node's rate. It reports whether the job completed its work.
 func (c *Cluster) advanceJob(rj *runningJob, dt float64) bool {
 	cfg := c.nodes[rj.rec.Ranks[0]].Config()
 	demand := rj.instance.Demand(cfg)
@@ -496,7 +433,7 @@ func (c *Cluster) advanceJob(rj *runningJob, dt float64) bool {
 	return rj.instance.Done()
 }
 
-// onTick advances every running job by one tick (EngineTick).
+// onTick advances every running job by one tick.
 func (c *Cluster) onTick(now simtime.Time) {
 	if c.closed.Load() {
 		return
@@ -588,21 +525,6 @@ func (c *Cluster) RunUntilIdle(limit time.Duration) (simtime.Time, bool) {
 	c.advMu.Lock()
 	defer c.advMu.Unlock()
 	end := c.Sched.Now().Add(limit)
-	if c.cfg.Engine == EngineEvent {
-		// Event engine: jump from event to event; an idle stretch (or an
-		// idle 50k-node fleet) costs nothing per tick because nothing is
-		// scheduled for it.
-		for {
-			if c.drained() {
-				return c.Sched.Now(), true
-			}
-			if !c.Sched.StepLimit(end) {
-				// No events before the horizon: nothing can change state.
-				c.Sched.AdvanceTo(end)
-				return c.Sched.Now(), len(c.running) == 0
-			}
-		}
-	}
 	for c.Sched.Now() < end {
 		if c.drained() {
 			return c.Sched.Now(), true
@@ -618,25 +540,15 @@ func (c *Cluster) RunUntilIdle(limit time.Duration) (simtime.Time, bool) {
 }
 
 // Close stops the simulation engine. It is safe to call concurrently
-// with RunFor/RunUntilIdle from another goroutine: the engines are
-// switched off immediately (no further job advances run), and Close then
-// waits for any in-flight advance to drain before stopping the timers,
-// so no callback can race the teardown.
+// with RunFor/RunUntilIdle from another goroutine: the engine is switched
+// off immediately (no further job advances run), and Close then waits for
+// any in-flight advance to drain before stopping the tick, so no callback
+// can race the teardown.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
 	c.advMu.Lock()
 	defer c.advMu.Unlock()
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
-	for _, rj := range c.running {
-		rj.ev.Stop()
-	}
-	for _, si := range c.subs {
-		for _, rj := range si.running {
-			rj.ev.Stop()
-		}
-	}
+	c.ticker.Stop()
 }

@@ -155,10 +155,7 @@ func (si *SubInstance) Close() error {
 	}
 	si.closed = true
 	delete(si.c.subs, si.JobID)
-	for id, rj := range si.running {
-		delete(si.running, id)
-		rj.ev.Stop()
-	}
+	clear(si.running)
 	_, err := si.c.JM.Finish(si.JobID)
 	return err
 }
@@ -190,9 +187,6 @@ func (si *SubInstance) onSubJobStart(ev *msg.Message) {
 	si.stats[rec.ID] = st
 	rj := &runningJob{rec: rec, instance: instance, stats: st}
 	si.running[rec.ID] = rj
-	if si.c.cfg.Engine == EngineEvent {
-		si.scheduleSubJobEvent(rj)
-	}
 }
 
 func (si *SubInstance) onSubJobFinish(ev *msg.Message) {
@@ -205,7 +199,6 @@ func (si *SubInstance) onSubJobFinish(ev *msg.Message) {
 		return
 	}
 	delete(si.running, rec.ID)
-	rj.ev.Stop()
 	for _, subRank := range rj.rec.Ranks {
 		si.c.nodes[si.ranks[subRank]].SetIdle()
 	}
@@ -218,8 +211,8 @@ func (si *SubInstance) onSubJobFinish(ev *msg.Message) {
 }
 
 // advanceSubJob moves one nested job forward by dt seconds — the same
-// math as Cluster.advanceJob with sub-instance rank indirection. Both
-// engines call exactly this. It reports whether the job completed.
+// math as Cluster.advanceJob with sub-instance rank indirection. It
+// reports whether the job completed.
 func (si *SubInstance) advanceSubJob(rj *runningJob, dt float64) bool {
 	c := si.c
 	nodeCfg := c.nodes[si.ranks[rj.rec.Ranks[0]]].Config()
@@ -248,8 +241,7 @@ func (si *SubInstance) advanceSubJob(rj *runningJob, dt float64) bool {
 }
 
 // tickSubInstances advances every nested instance's running jobs by one
-// tick; called from the tick engine's onTick. (The event engine never
-// calls this: sub-jobs schedule their own events at start.)
+// tick; called from the cluster's onTick.
 func (c *Cluster) tickSubInstances(dt float64) {
 	if len(c.subs) == 0 {
 		return

@@ -1,6 +1,7 @@
 package powermon
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func TestAggregateQueryMatchesRawSummary(t *testing.T) {
 		t.Fatal("job never finished")
 	}
 	client := NewClient(c.Inst.Root())
-	jp, err := client.Query(id)
+	jp, err := client.QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestAggregateQueryMatchesRawSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := client.QueryAggregate(id)
+	ja, err := client.QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAggregateQueryDeadInternalRankPartial(t *testing.T) {
 	if err := c.Inst.Broker(1).UnloadModule(ModuleName); err != nil {
 		t.Fatal(err)
 	}
-	ja, err := NewClient(c.Inst.Root()).QueryAggregate(id)
+	ja, err := NewClient(c.Inst.Root()).QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatalf("dead subtree turned into query failure: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestAggregateQueryRunningJob(t *testing.T) {
 	c := monitored(t, cluster.Lassen, 2, Config{})
 	id, _ := c.Submit(job.Spec{App: "gemm", Nodes: 2}) // ~274 s
 	c.RunFor(30 * time.Second)
-	ja, err := NewClient(c.Inst.Root()).QueryAggregate(id)
+	ja, err := NewClient(c.Inst.Root()).QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +131,14 @@ func TestAggregateQueryUsesTierAfterEviction(t *testing.T) {
 		t.Fatal("job never finished")
 	}
 	client := NewClient(c.Inst.Root())
-	jp, err := client.Query(id)
+	jp, err := client.QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jp.Complete() {
 		t.Fatal("raw path should have evicted the window")
 	}
-	ja, err := client.QueryAggregate(id)
+	ja, err := client.QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestAggregateQueryTiogaMemUnsupported(t *testing.T) {
 	if _, idle := c.RunUntilIdle(10 * time.Minute); !idle {
 		t.Fatal("job never finished")
 	}
-	ja, err := NewClient(c.Inst.Root()).QueryAggregate(id)
+	ja, err := NewClient(c.Inst.Root()).QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

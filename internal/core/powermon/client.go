@@ -43,14 +43,6 @@ func (c *Client) QueryContext(ctx context.Context, jobID uint64) (JobPower, erro
 	return jp, nil
 }
 
-// Query fetches a job's power data.
-//
-// Deprecated: use QueryContext; Query delegates to it with a background
-// context (the broker's configured call timeout still applies).
-func (c *Client) Query(jobID uint64) (JobPower, error) {
-	return c.QueryContext(context.Background(), jobID)
-}
-
 // QueryAggregateContext fetches a job's summary statistics computed
 // in-network — only aggregate-sized payloads cross the TBON, so the call
 // stays cheap no matter how many nodes the job spans — under the
@@ -68,14 +60,6 @@ func (c *Client) QueryAggregateContext(ctx context.Context, jobID uint64) (JobAg
 	return ja, nil
 }
 
-// QueryAggregate fetches a job's summary statistics computed in-network.
-//
-// Deprecated: use QueryAggregateContext; this delegates to it with a
-// background context.
-func (c *Client) QueryAggregate(jobID uint64) (JobAggregate, error) {
-	return c.QueryAggregateContext(context.Background(), jobID)
-}
-
 // StatusContext fetches the root-agent's instance-wide broker health
 // report under the context's deadline.
 func (c *Client) StatusContext(ctx context.Context) (InstanceStatus, error) {
@@ -88,14 +72,6 @@ func (c *Client) StatusContext(ctx context.Context) (InstanceStatus, error) {
 		return InstanceStatus{}, err
 	}
 	return st, nil
-}
-
-// Status fetches the root-agent's instance-wide broker health report.
-//
-// Deprecated: use StatusContext; this delegates to it with a background
-// context.
-func (c *Client) Status() (InstanceStatus, error) {
-	return c.StatusContext(context.Background())
 }
 
 // CollectNodeContext asks one node-agent directly for its raw samples in

@@ -28,10 +28,10 @@ func bareRoot(t *testing.T) *broker.Broker {
 
 func TestClientQueryNoService(t *testing.T) {
 	b := bareRoot(t)
-	if _, err := NewClient(b).Query(1); err == nil {
+	if _, err := NewClient(b).QueryContext(context.Background(), 1); err == nil {
 		t.Fatal("query without a power-monitor module succeeded")
 	}
-	if _, err := NewClient(b).QueryAggregate(1); err == nil {
+	if _, err := NewClient(b).QueryAggregateContext(context.Background(), 1); err == nil {
 		t.Fatal("aggregate query without a power-monitor module succeeded")
 	}
 }
@@ -45,10 +45,10 @@ func TestClientQueryMalformedResponse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewClient(b).Query(1); err == nil {
+	if _, err := NewClient(b).QueryContext(context.Background(), 1); err == nil {
 		t.Fatal("malformed query response decoded without error")
 	}
-	if _, err := NewClient(b).QueryAggregate(1); err == nil {
+	if _, err := NewClient(b).QueryAggregateContext(context.Background(), 1); err == nil {
 		t.Fatal("malformed aggregate response decoded without error")
 	}
 }

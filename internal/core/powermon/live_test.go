@@ -1,6 +1,7 @@
 package powermon
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -105,7 +106,7 @@ func TestLiveJobPowerQuery(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond) // real time: ~10 samples per node
 
-	jp, err := NewClient(li.Root()).Query(id)
+	jp, err := NewClient(li.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatalf("job power query over TCP: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestLiveAggregateQuery(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond)
 
-	ja, err := NewClient(li.Root()).QueryAggregate(id)
+	ja, err := NewClient(li.Root()).QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatalf("aggregate query over TCP: %v", err)
 	}
@@ -219,7 +220,7 @@ func TestLiveAggregateQueryDeadSubtree(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	start := time.Now()
-	ja, err := NewClient(li.Root()).QueryAggregate(id)
+	ja, err := NewClient(li.Root()).QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		t.Fatalf("aggregate query with dead subtree failed outright: %v", err)
 	}
@@ -274,7 +275,7 @@ func TestLiveJobPowerQueryDeadNode(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	start := time.Now()
-	jp, err := NewClient(li.Root()).Query(id)
+	jp, err := NewClient(li.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatalf("query with a dead node failed outright: %v", err)
 	}

@@ -2,6 +2,7 @@ package powermon
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestQueryAggregatesJobPower(t *testing.T) {
 	if _, idle := c.RunUntilIdle(time.Minute); !idle {
 		t.Fatal("job never finished")
 	}
-	jp, err := NewClient(c.Inst.Root()).Query(id)
+	jp, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestQueryRunningJobUsesNow(t *testing.T) {
 	c := monitored(t, cluster.Lassen, 2, Config{})
 	id, _ := c.Submit(job.Spec{App: "gemm", Nodes: 2}) // ~274 s
 	c.RunFor(30 * time.Second)
-	jp, err := NewClient(c.Inst.Root()).Query(id)
+	jp, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestQueryRunningJobUsesNow(t *testing.T) {
 
 func TestQueryUnknownJob(t *testing.T) {
 	c := monitored(t, cluster.Lassen, 2, Config{})
-	if _, err := NewClient(c.Inst.Root()).Query(99); err == nil {
+	if _, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), 99); err == nil {
 		t.Fatal("query for unknown job succeeded")
 	}
 }
@@ -108,7 +109,7 @@ func TestQueryQueuedJobFails(t *testing.T) {
 	_, _ = c.Submit(job.Spec{App: "gemm", Nodes: 2})
 	queued, _ := c.Submit(job.Spec{App: "gemm", Nodes: 2})
 	c.RunFor(time.Second)
-	if _, err := NewClient(c.Inst.Root()).Query(queued); err == nil {
+	if _, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), queued); err == nil {
 		t.Fatal("query for not-yet-started job succeeded")
 	}
 }
@@ -121,7 +122,7 @@ func TestPartialDataFlagAfterEviction(t *testing.T) {
 	if _, idle := c.RunUntilIdle(2 * time.Minute); !idle {
 		t.Fatal("job never finished")
 	}
-	jp, err := NewClient(c.Inst.Root()).Query(id)
+	jp, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestTiogaTelemetryHolesSurviveAggregation(t *testing.T) {
 	if _, idle := c.RunUntilIdle(10 * time.Minute); !idle {
 		t.Fatal("job never finished")
 	}
-	jp, err := NewClient(c.Inst.Root()).Query(id)
+	jp, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCSVOutput(t *testing.T) {
 	if _, idle := c.RunUntilIdle(time.Minute); !idle {
 		t.Fatal("job never finished")
 	}
-	jp, err := NewClient(c.Inst.Root()).Query(id)
+	jp, err := NewClient(c.Inst.Root()).QueryContext(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSamplingIntervalConfigurable(t *testing.T) {
 	if _, idle := c.RunUntilIdle(time.Minute); !idle {
 		t.Fatal("job never finished")
 	}
-	jp, _ := NewClient(c.Inst.Root()).Query(id)
+	jp, _ := NewClient(c.Inst.Root()).QueryContext(context.Background(), id)
 	// ~12.5 s at 0.5 s sampling: ~25 samples.
 	if n := len(jp.Nodes[0].Samples); n < 20 || n > 30 {
 		t.Fatalf("%d samples at 500ms interval for 12.5s job", n)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -113,7 +114,7 @@ func chaosOne(nodes int, seed int64, dropProb float64, rounds int) (ChaosRow, er
 	missingSum := 0
 	for r := 0; r < rounds; r++ {
 		c.RunFor(4 * time.Second)
-		ja, err := mon.QueryAggregate(id)
+		ja, err := mon.QueryAggregateContext(context.Background(), id)
 		row.Queries++
 		switch {
 		case err != nil:

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -121,7 +122,7 @@ func (e *env) runJob(spec job.Spec, limit time.Duration) (cluster.JobStats, *pow
 	if e.mon == nil {
 		return st, nil, nil
 	}
-	jp, err := e.mon.Query(id)
+	jp, err := e.mon.QueryContext(context.Background(), id)
 	if err != nil {
 		return st, nil, err
 	}

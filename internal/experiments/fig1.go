@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -39,7 +40,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 		if _, idle := e.c.RunUntilIdle(30 * time.Minute); !idle {
 			return nil, fmt.Errorf("fig1: %s did not finish", spec.App)
 		}
-		jp, err := e.mon.Query(id)
+		jp, err := e.mon.QueryContext(context.Background(), id)
 		if err != nil {
 			return nil, err
 		}

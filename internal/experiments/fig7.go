@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -61,12 +62,12 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	nqStats, _ := e.c.Stats(nqID)
 	res.NQueensStartSec = nqStats.StartSec
 	res.NQueensEndSec = nqStats.EndSec
-	jp, err := e.mon.Query(gemmID)
+	jp, err := e.mon.QueryContext(context.Background(), gemmID)
 	if err != nil {
 		return nil, err
 	}
 	res.GEMMTimeline = timelineFor(jp, gemmStats.Ranks[0])
-	if jpn, err := e.mon.Query(nqID); err == nil {
+	if jpn, err := e.mon.QueryContext(context.Background(), nqID); err == nil {
 		res.NQueensTimeline = timelineFor(jpn, nqStats.Ranks[0])
 	}
 	// Average GEMM node power in the solo window vs the shared window.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -111,7 +112,7 @@ func scaleOne(nodes int, seed int64) (ScaleRow, error) {
 
 	before := ingress()
 	start := time.Now()
-	jp, err := client.Query(id)
+	jp, err := client.QueryContext(context.Background(), id)
 	if err != nil {
 		return row, err
 	}
@@ -128,7 +129,7 @@ func scaleOne(nodes int, seed int64) (ScaleRow, error) {
 
 	before = ingress()
 	start = time.Now()
-	ja, err := client.QueryAggregate(id)
+	ja, err := client.QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		return row, err
 	}

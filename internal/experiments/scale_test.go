@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func BenchmarkReduceVsFlatGather(b *testing.B) {
 		start := ingress()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.Query(id); err != nil {
+			if _, err := client.QueryContext(context.Background(), id); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -113,7 +114,7 @@ func BenchmarkReduceVsFlatGather(b *testing.B) {
 		start := ingress()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ja, err := client.QueryAggregate(id)
+			ja, err := client.QueryAggregateContext(context.Background(), id)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -132,10 +133,10 @@ func runTable4Case(opts Options, c Table4Case) (Table4Row, error) {
 		QSEnergyKJ:   qsStats.EnergyPerNodeJ / 1000,
 	}
 	// Timelines (Figs 5-6): first node of each job.
-	if jp, err := e.mon.Query(gemmID); err == nil {
+	if jp, err := e.mon.QueryContext(context.Background(), gemmID); err == nil {
 		row.GEMMTimeline = timelineFor(jp, gemmStats.Ranks[0])
 	}
-	if jp, err := e.mon.Query(qsID); err == nil {
+	if jp, err := e.mon.QueryContext(context.Background(), qsID); err == nil {
 		row.QSTimeline = timelineFor(jp, qsStats.Ranks[0])
 	}
 	return row, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -40,7 +41,7 @@ func Timeline(opts Options, system cluster.System, app string, sizeFactor float6
 	if _, idle := e.c.RunUntilIdle(2 * time.Hour); !idle {
 		return nil, fmt.Errorf("timeline: %s did not finish", app)
 	}
-	jp, err := e.mon.Query(id)
+	jp, err := e.mon.QueryContext(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}

@@ -24,12 +24,6 @@ type InstanceOptions struct {
 	Fanout int
 	// Scheduler drives time; required.
 	Scheduler *simtime.Scheduler
-	// TimersFor, if set, supplies each rank's timer provider instead of
-	// the shared Scheduler — the event-driven cluster engine uses it to
-	// pin every broker's timers (module sampling, heal heartbeats, the
-	// RPC deadline wheel) onto that rank's event-queue shard. The clock
-	// stays the shared Scheduler either way.
-	TimersFor func(rank int32) simtime.TimerProvider
 	// Local, if set, supplies the per-node resource attached to each
 	// broker (the rank's simulated hw.Node).
 	Local func(rank int32) any
@@ -69,18 +63,12 @@ func NewInstance(opts InstanceOptions) (*Instance, error) {
 		if opts.Local != nil {
 			local = opts.Local(rank)
 		}
-		timers := simtime.TimerProvider(opts.Scheduler)
-		if opts.TimersFor != nil {
-			if tp := opts.TimersFor(rank); tp != nil {
-				timers = tp
-			}
-		}
 		b, err := New(Options{
 			Rank:        rank,
 			Size:        int32(opts.Size),
 			Fanout:      k,
 			Clock:       opts.Scheduler,
-			Timers:      timers,
+			Timers:      opts.Scheduler,
 			Local:       local,
 			CallTimeout: opts.CallTimeout,
 			Heal:        opts.Heal,

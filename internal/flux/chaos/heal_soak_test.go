@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -145,7 +146,7 @@ func runHealSimScenario(t *testing.T, seed int64) {
 	var qOK, qPartial, qFailed int
 	for round := 0; round < 12; round++ {
 		c.RunFor(5 * time.Second)
-		ja, err := mon.QueryAggregate(id)
+		ja, err := mon.QueryAggregateContext(context.Background(), id)
 		switch {
 		case err != nil:
 			qFailed++
@@ -194,7 +195,7 @@ func runHealSimScenario(t *testing.T, seed int64) {
 		fail("post-heal sweep did not converge: ranks=%d missing=%d partial=%v",
 			res.Ranks, res.Missing, res.Partial)
 	}
-	ja, err := mon.QueryAggregate(id)
+	ja, err := mon.QueryAggregateContext(context.Background(), id)
 	if err != nil {
 		fail("post-heal aggregate query errored: %v", err)
 	}

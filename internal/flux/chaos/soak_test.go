@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func runSimScenario(t *testing.T, seed int64) {
 		c.RunFor(5 * time.Second)
 		// Exercise the query path under fire; outcomes are recorded, not
 		// asserted — degradation is expected, invariant breakage is not.
-		ja, err := mon.QueryAggregate(id)
+		ja, err := mon.QueryAggregateContext(context.Background(), id)
 		switch {
 		case err != nil:
 			qFailed++

@@ -8,20 +8,17 @@
 // Timers that fire when their deadline is reached. Nothing in the
 // repository reads the host's wall clock during a simulation.
 //
-// # Event queues and shards
+// # The event queue
 //
-// The scheduler is a discrete-event core: every component schedules its
-// own next event, so simulated time jumps from deadline to deadline and
-// idle components cost nothing. Events live on per-shard binary heaps.
-// Shard assignment is a locality/ordering tool, not a concurrency tool —
-// the scheduler stays single-threaded and callbacks run inline.
+// Every timer lives on one binary heap, so simulated time jumps from
+// deadline to deadline. The scheduler is single-threaded and callbacks run
+// inline.
 //
-// The determinism contract: events fire in (deadline, shard, seq) order,
-// where seq is a per-shard creation counter. Two runs that schedule the
-// same events on the same shards observe the same total order. Shard 0 is
-// conventionally the simulation engine's own shard; because it is the
-// lowest shard, engine events at a shared instant (job demand updates)
-// always run before module events (power sampling) at that instant.
+// The determinism contract: timers fire in (deadline, seq) order, where
+// seq is the scheduler's creation counter. Two runs that schedule the same
+// timers in the same order observe the same total order. The cluster
+// engine relies on this: it registers its tick first, so at a shared
+// instant job demand is updated before any module timer samples power.
 package simtime
 
 import (
@@ -76,13 +73,6 @@ type Timer struct {
 	fn       TimerFunc
 	period   time.Duration // 0 for one-shot
 	stopped  bool
-	index    int // heap index, -1 when popped
-
-	shard *shard
-	// pooled one-shot timers return to their shard's free list when they
-	// pop; gen invalidates stale EventRef handles to a recycled Timer.
-	pooled bool
-	gen    uint64
 }
 
 // Stop cancels the timer. It is safe to call from within the timer's own
@@ -92,73 +82,18 @@ func (t *Timer) Stop() { t.stopped = true }
 // Deadline returns the instant the timer will next fire.
 func (t *Timer) Deadline() Time { return t.deadline }
 
-// shard is one event queue: a binary heap of timers plus the shard's own
-// creation-order counter and free list of pooled timers.
-type shard struct {
-	id    int
-	seq   uint64
-	queue timerHeap
-	free  []*Timer
-}
-
-// head returns the earliest timer in the shard (nil when empty). Stopped
-// timers are pruned here so an abandoned head cannot hide a live event.
-func (sh *shard) head() *Timer {
-	for len(sh.queue) > 0 {
-		t := sh.queue[0]
-		if !t.stopped {
-			return t
-		}
-		popTimer(&sh.queue)
-		t.shard.recycle(t)
-	}
-	return nil
-}
-
-// recycle returns a pooled one-shot timer to the free list once it has
-// left the heap for good, bumping gen so stale handles become inert.
-func (sh *shard) recycle(t *Timer) {
-	if !t.pooled {
-		return
-	}
-	t.gen++
-	t.fn = nil
-	t.stopped = false
-	sh.free = append(sh.free, t)
-}
-
 // Scheduler owns simulated time. It is single-threaded by design: the
 // simulation engine calls Advance (or Run) from one goroutine, and every
 // timer callback executes inline on that goroutine. This makes whole-cluster
 // experiments deterministic and race-free without locking in hot paths.
 type Scheduler struct {
-	now    Time
-	shards []*shard
+	now   Time
+	seq   uint64
+	queue timerHeap
 }
 
-// NewScheduler returns a single-shard Scheduler positioned at T+0. Its
-// firing order — (deadline, creation seq) — matches the historical tick
-// scheduler exactly.
-func NewScheduler() *Scheduler {
-	return NewShardedScheduler(1)
-}
-
-// NewShardedScheduler returns a Scheduler with n event-queue shards
-// (minimum 1). Timers scheduled through the Scheduler's own methods land
-// on shard 0; Shard(i) binds components to other shards.
-func NewShardedScheduler(n int) *Scheduler {
-	if n < 1 {
-		n = 1
-	}
-	s := &Scheduler{shards: make([]*shard, n)}
-	for i := range s.shards {
-		s.shards[i] = &shard{id: i}
-	}
-	return s
-}
-
-// NumShards returns the shard count.
-func (s *Scheduler) NumShards() int { return len(s.shards) }
+// NewScheduler returns an empty Scheduler positioned at T+0.
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now implements Clock.
 func (s *Scheduler) Now() Time { return s.now }
@@ -169,7 +104,7 @@ func (s *Scheduler) After(d time.Duration, fn TimerFunc) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(0, s.now.Add(d), 0, fn)
+	return s.schedule(s.now.Add(d), 0, fn)
 }
 
 // At schedules fn to run once at the absolute instant t. Instants in the
@@ -178,7 +113,7 @@ func (s *Scheduler) At(t Time, fn TimerFunc) *Timer {
 	if t < s.now {
 		t = s.now
 	}
-	return s.schedule(0, t, 0, fn)
+	return s.schedule(t, 0, fn)
 }
 
 // TickEvery schedules fn to run every period, first firing one period from
@@ -188,53 +123,43 @@ func (s *Scheduler) TickEvery(period time.Duration, fn TimerFunc) *Timer {
 	if period <= 0 {
 		panic("simtime: TickEvery requires a positive period")
 	}
-	return s.schedule(0, s.now.Add(period), period, fn)
+	return s.schedule(s.now.Add(period), period, fn)
 }
 
-func (s *Scheduler) schedule(shardID int, deadline Time, period time.Duration, fn TimerFunc) *Timer {
+func (s *Scheduler) schedule(deadline Time, period time.Duration, fn TimerFunc) *Timer {
 	if fn == nil {
 		panic("simtime: nil TimerFunc")
 	}
-	if shardID < 0 || shardID >= len(s.shards) {
-		panic(fmt.Sprintf("simtime: shard %d out of range [0,%d)", shardID, len(s.shards)))
-	}
-	sh := s.shards[shardID]
-	t := &Timer{deadline: deadline, seq: sh.seq, fn: fn, period: period, shard: sh}
-	sh.seq++
-	pushTimer(&sh.queue, t)
+	t := &Timer{deadline: deadline, seq: s.seq, fn: fn, period: period}
+	s.seq++
+	pushTimer(&s.queue, t)
 	return t
 }
 
-// nextShard returns the shard holding the globally earliest live timer,
-// ordered by (deadline, shard). nil when every queue is empty.
-func (s *Scheduler) nextShard() *shard {
-	var best *shard
-	var bestDeadline Time
-	for _, sh := range s.shards {
-		h := sh.head()
-		if h == nil {
-			continue
+// head returns the earliest live timer (nil when none remain). Stopped
+// timers are pruned here so an abandoned head cannot hide a live one.
+func (s *Scheduler) head() *Timer {
+	for len(s.queue) > 0 {
+		if t := s.queue[0]; !t.stopped {
+			return t
 		}
-		if best == nil || h.deadline < bestDeadline {
-			best = sh
-			bestDeadline = h.deadline
-		}
+		popTimer(&s.queue)
 	}
-	return best
+	return nil
 }
 
 // NextDeadline returns the earliest pending live deadline, if any.
 func (s *Scheduler) NextDeadline() (Time, bool) {
-	sh := s.nextShard()
-	if sh == nil {
+	h := s.head()
+	if h == nil {
 		return 0, false
 	}
-	return sh.queue[0].deadline, true
+	return h.deadline, true
 }
 
 // Advance moves simulated time forward by d, firing every due timer in
-// deadline order (ties broken by shard, then creation order). It returns
-// the number of timer callbacks that ran.
+// deadline order (ties broken by creation order). It returns the number of
+// timer callbacks that ran.
 func (s *Scheduler) Advance(d time.Duration) int {
 	if d < 0 {
 		panic("simtime: negative Advance")
@@ -251,11 +176,11 @@ func (s *Scheduler) AdvanceTo(t Time) int {
 	}
 	fired := 0
 	for {
-		sh := s.nextShard()
-		if sh == nil || sh.queue[0].deadline > t {
+		h := s.head()
+		if h == nil || h.deadline > t {
 			break
 		}
-		tm := popTimer(&sh.queue)
+		tm := popTimer(&s.queue)
 		// Time advances to the timer's deadline before the callback runs,
 		// so the callback observes Now() == its deadline.
 		s.now = tm.deadline
@@ -263,9 +188,7 @@ func (s *Scheduler) AdvanceTo(t Time) int {
 		fired++
 		if tm.period > 0 && !tm.stopped {
 			tm.deadline = tm.deadline.Add(tm.period)
-			pushTimer(&sh.queue, tm)
-		} else {
-			sh.recycle(tm)
+			pushTimer(&s.queue, tm)
 		}
 	}
 	s.now = t
@@ -276,25 +199,24 @@ func (s *Scheduler) AdvanceTo(t Time) int {
 // timers due at that instant. It reports whether any timer fired (false
 // means the queue was empty and time did not move).
 func (s *Scheduler) Step() bool {
-	sh := s.nextShard()
-	if sh == nil {
+	h := s.head()
+	if h == nil {
 		return false
 	}
-	s.AdvanceTo(sh.queue[0].deadline)
+	s.AdvanceTo(h.deadline)
 	return true
 }
 
 // StepLimit fires the next pending event batch if its deadline is at or
 // before limit, reporting whether it did. It leaves time untouched when
-// the next event lies beyond the limit (or no events remain) — the
-// event-driven engine uses it to jump between events without overshooting
-// an experiment window.
+// the next event lies beyond the limit (or no events remain), so Run can
+// jump between events without overshooting its limit.
 func (s *Scheduler) StepLimit(limit Time) bool {
-	sh := s.nextShard()
-	if sh == nil || sh.queue[0].deadline > limit {
+	h := s.head()
+	if h == nil || h.deadline > limit {
 		return false
 	}
-	s.AdvanceTo(sh.queue[0].deadline)
+	s.AdvanceTo(h.deadline)
 	return true
 }
 
@@ -310,14 +232,12 @@ func (s *Scheduler) Run(limit Time) Time {
 	return s.now
 }
 
-// Pending returns the number of live (unstopped) timers across all shards.
+// Pending returns the number of live (unstopped) timers.
 func (s *Scheduler) Pending() int {
 	n := 0
-	for _, sh := range s.shards {
-		for _, t := range sh.queue {
-			if !t.stopped {
-				n++
-			}
+	for _, t := range s.queue {
+		if !t.stopped {
+			n++
 		}
 	}
 	return n
@@ -327,11 +247,9 @@ func (s *Scheduler) Pending() int {
 // tests and debugging.
 func (s *Scheduler) PendingDeadlines() []Time {
 	var out []Time
-	for _, sh := range s.shards {
-		for _, t := range sh.queue {
-			if !t.stopped {
-				out = append(out, t.deadline)
-			}
+	for _, t := range s.queue {
+		if !t.stopped {
+			out = append(out, t.deadline)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -339,8 +257,7 @@ func (s *Scheduler) PendingDeadlines() []Time {
 }
 
 // timerHeap orders timers by (deadline, seq) so equal deadlines fire in
-// creation order within a shard; cross-shard ties resolve by shard id in
-// Scheduler.nextShard, giving the global (deadline, shard, seq) order.
+// creation order.
 type timerHeap []*Timer
 
 func (h timerHeap) less(i, j int) bool {
@@ -349,20 +266,15 @@ func (h timerHeap) less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h timerHeap) swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
 // pushTimer and popTimer are container/heap's algorithms specialised to
 // *Timer: the interface indirection and per-operation allocations of
 // heap.Push(any) are measurable on the hot event paths.
 func pushTimer(h *timerHeap, t *Timer) {
-	t.index = len(*h)
+	i := len(*h)
 	*h = append(*h, t)
 	// Sift up.
-	i := t.index
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -379,7 +291,6 @@ func popTimer(h *timerHeap) *Timer {
 	old.swap(0, n)
 	t := old[n]
 	old[n] = nil
-	t.index = -1
 	*h = old[:n]
 	// Sift down from the root.
 	hh := *h
