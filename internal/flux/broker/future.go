@@ -171,17 +171,25 @@ func (f *Future) resolve(m *msg.Message) {
 func (f *Future) expire() {
 	resp := msg.NewErrorResponse(f.requestStub(), f.b.rank, msg.ETIMEDOUT, "rpc deadline exceeded")
 	err := fmt.Errorf("%w: %q to rank %d", ErrTimeout, f.topic, f.nodeID)
-	if f.complete(resp, err) {
+	// The counter moves before waiters wake, so a caller that sees
+	// ErrTimeout also sees the timeout counted.
+	f.completeWith(resp, err, func() {
 		f.b.mu.Lock()
 		f.b.stats.RPCTimeouts++
 		f.b.mu.Unlock()
-	}
+	})
 }
 
 // complete is the single resolution point: first caller wins, later calls
 // are no-ops. It detaches the future from the deadline wheel and runs any
 // registered callbacks.
 func (f *Future) complete(resp *msg.Message, err error) bool {
+	return f.completeWith(resp, err, nil)
+}
+
+// completeWith is complete with a hook run only by the winning caller,
+// after the future is marked resolved and before waiters are released.
+func (f *Future) completeWith(resp *msg.Message, err error, onWin func()) bool {
 	f.mu.Lock()
 	if f.resolved {
 		f.mu.Unlock()
@@ -194,6 +202,9 @@ func (f *Future) complete(resp *msg.Message, err error) bool {
 	wheel, tick := f.wheel, f.wheelTick
 	f.wheel = nil
 	f.mu.Unlock()
+	if onWin != nil {
+		onWin()
+	}
 	close(f.done)
 	if wheel != nil {
 		wheel.cancel(f, tick)
